@@ -71,16 +71,19 @@ use crate::ring::HashRing;
 use crate::stats::RouterStats;
 use crate::sync::{self, Repl};
 use pmc_json::Json;
+use pmc_serve::framed::{
+    accept_under_budget, earliest, wait, Doorbell, Expiry, FramedConn, Inbound, Listener, PollFd,
+    Ringer, Stream, Timeouts,
+};
 use pmc_serve::protocol::{
-    encode_frame, encode_frame_as, error_response, frame_deadline_ms, ok_response, parse_frame,
+    encode_frame, encode_frame_as, error_response, frame_deadline_ms, ok_response,
     raw_frame_encoding, read_frame, unwrap_response, with_deadline_ms, write_frame, Encoding,
     FrameError, Request, MAX_FRAME_BYTES,
 };
 use pmc_serve::tokenhash::{fnv1a, resume_key};
 use pmc_serve::ServeError;
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -410,17 +413,79 @@ impl Shared {
     }
 }
 
-/// One relay connection to a backend, owned by a client connection.
+/// One relay connection to a backend, owned by a client connection
+/// (the primary) or by a fired hedge (a one-shot copy to the standby).
 struct Upstream {
-    stream: TcpStream,
+    io: FramedConn,
     backend: usize,
-    read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
-    write_pos: usize,
     /// Responses to discard before relaying to the client — one per
-    /// router-injected `resume` frame (re-binding a re-routed
-    /// connection to its durable identity).
+    /// router-injected frame (`hello` replay, re-binding `resume`).
     swallow: u32,
+}
+
+impl Upstream {
+    /// Connects to `backend` and queues what must precede any client
+    /// frame, replies swallowed: a `hello` replay for a non-JSON client
+    /// (responses are relayed verbatim, so a reconnect must not switch
+    /// the wire encoding; it goes first because the resume counts as
+    /// data), then a `resume` binding `resume_token`'s durable window,
+    /// or the backend would file samples under a cold ephemeral one.
+    fn open(
+        shared: &Shared,
+        backend: usize,
+        encoding: Encoding,
+        resume_token: Option<&str>,
+    ) -> Result<Upstream, ServeError> {
+        let stream = TcpStream::connect(&shared.backends[backend].spec.addr)?;
+        stream.set_nonblocking(true)?;
+        let _ = stream.set_nodelay(true);
+        let mut up = Upstream {
+            io: FramedConn::new(Stream::Tcp(stream), Timeouts::default(), Instant::now()),
+            backend,
+            swallow: 0,
+        };
+        if encoding != Encoding::Json {
+            up.inject(&Request::Hello {
+                encoding: encoding.as_str().to_string(),
+            })?;
+        }
+        if let Some(token) = resume_token {
+            up.inject(&Request::Resume {
+                token: token.to_string(),
+            })?;
+        }
+        Ok(up)
+    }
+
+    fn inject(&mut self, req: &Request) -> Result<(), ServeError> {
+        self.io.push(&encode_frame(&req.to_json_value())?);
+        self.swallow += 1;
+        Ok(())
+    }
+
+    /// Flushes relayed bytes and reads what the backend sent. True
+    /// once the upstream is unusable (hung up or errored); frames
+    /// already read can still be taken.
+    fn pump(&mut self, cap: usize, now: Instant) -> bool {
+        if self.io.flush(now).is_err() {
+            return true;
+        }
+        self.io.fill(cap, now);
+        self.io.eof
+    }
+
+    /// The next response frame owed to the client, verbatim, skipping
+    /// replies to injected frames. `Err` when the backend speaks
+    /// garbage — as broken as one that hung up.
+    fn next_answer(&mut self, max_frame: u32) -> Result<Option<Vec<u8>>, FrameError> {
+        while let Some(bytes) = self.io.take_raw(max_frame)? {
+            if self.swallow == 0 {
+                return Ok(Some(bytes));
+            }
+            self.swallow -= 1;
+        }
+        Ok(None)
+    }
 }
 
 /// One relayed request's lifecycle, kept until every copy of its
@@ -467,9 +532,12 @@ impl Pending {
     }
 }
 
-/// Per-client-connection state owned by the core thread.
+/// Per-client-connection state owned by the core thread: the shared
+/// framed connection plus the relay state this tier adds.
 struct Conn {
-    stream: TcpStream,
+    /// The client socket. The router answers `hello` itself and replays
+    /// the agreed encoding to every upstream it opens.
+    io: FramedConn,
     id: u64,
     /// The durable identity this connection bound with `resume`.
     token: Option<String>,
@@ -481,59 +549,11 @@ struct Conn {
     /// Retry-budget token bucket, millitokens: hedges spend 1000,
     /// completed requests earn `retry_budget_ratio * 1000`.
     budget_mtokens: u64,
-    read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
-    write_pos: usize,
-    last_activity: Instant,
-    partial_since: Option<Instant>,
-    write_since: Option<Instant>,
+    /// A relayed request is awaiting its answer.
     inflight: bool,
-    closing: bool,
-    eof: bool,
-    /// Wire encoding negotiated by this client's `hello` — answered
-    /// inline by the router (never relayed) so the router is the one
-    /// authority; every upstream is brought into agreement by a
-    /// router-injected hello on (re)connect.
-    encoding: Encoding,
-    /// A non-`hello` frame has been dispatched: the negotiation
-    /// window is closed, same rule the backend core applies.
-    saw_data: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, id: u64, now: Instant, budget_burst: u32) -> Self {
-        Conn {
-            stream,
-            id,
-            token: None,
-            upstream: None,
-            pendings: VecDeque::new(),
-            budget_mtokens: u64::from(budget_burst) * 1000,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            write_pos: 0,
-            last_activity: now,
-            partial_since: None,
-            write_since: None,
-            inflight: false,
-            closing: false,
-            eof: false,
-            encoding: Encoding::Json,
-            saw_data: false,
-        }
-    }
-
-    fn flushed(&self) -> bool {
-        self.write_pos == self.write_buf.len()
-    }
-
-    fn queue(&mut self, payload: &Json) {
-        match encode_frame_as(payload, self.encoding) {
-            Ok(bytes) => self.write_buf.extend_from_slice(&bytes),
-            Err(_) => self.closing = true,
-        }
-    }
-
     /// Earns the per-request retry-budget refill, capped at the burst.
     fn earn_budget(&mut self, cfg: &RouterConfig) {
         let earn = (cfg.retry_budget_ratio.clamp(0.0, 1.0) * 1000.0) as u64;
@@ -548,9 +568,37 @@ impl Conn {
                 RouterStats::dec(&shared.backends[p.primary].inflight);
             }
             if let Some(h) = p.hedge_up {
-                let _ = h.stream.shutdown(Shutdown::Both);
+                h.io.stream.close();
                 RouterStats::dec(&shared.backends[h.backend].inflight);
             }
+        }
+    }
+
+    /// Every socket this connection owns in one fixed order (client,
+    /// primary upstream, fired hedges), so the entries
+    /// [`Self::interest`] pushes line up with [`Self::ready`]'s.
+    fn ios(&mut self) -> impl Iterator<Item = &mut FramedConn> {
+        let hedges = self.pendings.iter_mut().filter_map(|p| p.hedge_up.as_mut());
+        std::iter::once(&mut self.io)
+            .chain(self.upstream.iter_mut().map(|up| &mut up.io))
+            .chain(hedges.map(|h| &mut h.io))
+    }
+
+    /// Adds this connection's sockets to the poll set and returns its
+    /// earliest deadline: a client-side limit or the hedge fire time.
+    fn interest(&mut self, shared: &Shared, set: &mut Vec<PollFd>) -> Option<Instant> {
+        let cap = 4 + shared.config.max_frame_bytes as usize;
+        set.extend(self.ios().map(|io| io.interest(cap)));
+        earliest(
+            self.io.next_deadline(self.inflight),
+            hedge_due(self, shared),
+        )
+    }
+
+    /// Takes the wait's results for the entries [`Self::interest`] pushed.
+    fn ready<'a>(&mut self, entries: &mut impl Iterator<Item = &'a PollFd>) {
+        for (io, entry) in self.ios().zip(entries) {
+            io.ready(entry);
         }
     }
 }
@@ -559,6 +607,8 @@ impl Conn {
 pub struct PowerRouter {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    /// Wakes the core out of its poll (shutdown).
+    bell: Ringer,
     core: Option<JoinHandle<()>>,
     prober: Option<JoinHandle<()>>,
     syncer: Option<JoinHandle<()>>,
@@ -584,11 +634,16 @@ impl PowerRouter {
         });
         shared.rebuild_ring();
         let stop = Arc::new(AtomicBool::new(false));
+        let doorbell = Doorbell::new()?;
+        let bell = doorbell.ringer();
 
         let core = {
             let shared = Arc::clone(&shared);
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || core_loop(listener, &shared, &stop))
+            let listener = Listener::Tcp(listener);
+            std::thread::Builder::new()
+                .name("pmc-router-core".into())
+                .spawn(move || core_loop(listener, doorbell, &shared, &stop))?
         };
         let prober = {
             let shared = Arc::clone(&shared);
@@ -603,6 +658,7 @@ impl PowerRouter {
         Ok(PowerRouter {
             addr,
             stop,
+            bell,
             core: Some(core),
             prober: Some(prober),
             syncer: Some(syncer),
@@ -670,6 +726,7 @@ impl PowerRouter {
     /// closes every connection and joins both threads. Idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.bell.ring();
         if let Some(core) = self.core.take() {
             let _ = core.join();
         }
@@ -688,120 +745,82 @@ impl Drop for PowerRouter {
     }
 }
 
-/// The core readiness loop: accept, sweep, nap.
-fn core_loop(listener: TcpListener, shared: &Shared, stop: &AtomicBool) {
+/// The core readiness loop: accept, sweep every connection, then block
+/// in `poll(2)` until a socket event, the shutdown doorbell, or the
+/// earliest deadline (client limits and armed hedge fire times).
+fn core_loop(listener: Listener, bell: Doorbell, shared: &Shared, stop: &AtomicBool) {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_id = 1u64;
-    // Fast-poll iterations left before the core may take the long
-    // idle nap; recharged by any activity.
-    let mut cooldown = 0u32;
+    let mut set = Vec::new();
+    let cfg = &shared.config;
+    let limits = Timeouts {
+        read: cfg.read_timeout,
+        write: cfg.write_timeout,
+        idle: cfg.idle_timeout,
+    };
     loop {
+        bell.drain();
         if stop.load(Ordering::SeqCst) {
             drop(listener);
+            let now = Instant::now();
             for (_, mut conn) in conns.drain() {
                 // Best-effort parting notice; the socket close is the
                 // real signal.
-                if let Ok(bytes) =
-                    encode_frame_as(&error_response(&ServeError::Draining), conn.encoding)
-                {
-                    let _ = conn.stream.write(&bytes);
-                }
-                let _ = conn.stream.shutdown(Shutdown::Both);
+                conn.io.queue(&error_response(&ServeError::Draining));
+                let _ = conn.io.flush(now);
+                conn.io.stream.close();
                 conn.release_pendings(shared);
                 RouterStats::dec(&shared.stats.connections_open);
             }
             return;
         }
 
-        let mut progress = accept(&listener, &mut conns, &mut next_id, shared);
-
         let now = Instant::now();
-        let mut to_close = Vec::new();
-        for (&id, conn) in conns.iter_mut() {
-            let (p, close) = sweep_conn(conn, shared, now);
-            progress |= p;
-            if close {
-                to_close.push(id);
-            }
-        }
-        for id in to_close {
-            if let Some(mut conn) = conns.remove(&id) {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-                conn.release_pendings(shared);
-                RouterStats::dec(&shared.stats.connections_open);
-            }
-            progress = true;
-        }
+        let room = cfg.max_connections.saturating_sub(conns.len());
+        let admit = |stream| {
+            let id = next_id;
+            next_id += 1;
+            conns.insert(
+                id,
+                Conn {
+                    io: FramedConn::new(stream, limits, now),
+                    id,
+                    token: None,
+                    upstream: None,
+                    pendings: VecDeque::new(),
+                    budget_mtokens: u64::from(cfg.retry_budget_burst) * 1000,
+                    inflight: false,
+                },
+            );
+            RouterStats::bump(&shared.stats.connections_accepted);
+            RouterStats::bump(&shared.stats.connections_open);
+        };
+        accept_under_budget(&listener, room, cfg.retry_after_ms, admit, || {});
 
-        // Nap discipline. The serve core gets woken by its workers'
-        // completion channel; a relay has no such signal — responses
-        // arrive on upstream sockets — so the core must poll. Three
-        // regimes:
-        //  - a relay is awaiting its response (or bytes are pending):
-        //    yield the scheduler slot — on a shared CPU that hands
-        //    the slice straight to the backend producing the answer,
-        //    and avoids the ~100 µs the kernel pads onto tiny sleeps;
-        //  - recently active: short naps for a while, so the gap
-        //    between a delivered response and the client's next
-        //    request doesn't eat the long nap (that tail is worth
-        //    ~2 ms per occurrence at p99);
-        //  - genuinely quiet: the long nap.
-        let awaiting = conns.values().any(|c| {
-            c.inflight || !c.pendings.is_empty() || !c.flushed() || !c.read_buf.is_empty()
+        conns.retain(|_, conn| {
+            if !sweep_conn(conn, shared, now) {
+                return true;
+            }
+            conn.io.stream.close();
+            conn.release_pendings(shared);
+            RouterStats::dec(&shared.stats.connections_open);
+            false
         });
-        if progress || awaiting {
-            cooldown = 64;
-        }
-        if awaiting {
-            std::thread::yield_now();
-        } else if cooldown > 0 {
-            cooldown -= 1;
-            std::thread::sleep(Duration::from_micros(20));
-        } else {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-}
 
-/// Accepts pending connections up to the admission budget.
-fn accept(
-    listener: &TcpListener,
-    conns: &mut HashMap<u64, Conn>,
-    next_id: &mut u64,
-    shared: &Shared,
-) -> bool {
-    let mut progress = false;
-    let now = Instant::now();
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                progress = true;
-                if conns.len() >= shared.config.max_connections {
-                    if let Ok(bytes) = encode_frame(&error_response(&ServeError::Overloaded {
-                        retry_after_ms: shared.config.retry_after_ms,
-                    })) {
-                        let mut stream = stream;
-                        let _ = stream.write(&bytes);
-                        let _ = stream.shutdown(Shutdown::Both);
-                    }
-                    continue;
-                }
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let id = *next_id;
-                *next_id += 1;
-                let budget_burst = shared.config.retry_budget_burst;
-                conns.insert(id, Conn::new(stream, id, now, budget_burst));
-                RouterStats::bump(&shared.stats.connections_accepted);
-                RouterStats::bump(&shared.stats.connections_open);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(_) => break,
+        set.clear();
+        set.push(bell.interest());
+        set.push(listener.interest());
+        let mut deadline = None;
+        for conn in conns.values_mut() {
+            deadline = earliest(deadline, conn.interest(shared, &mut set));
+        }
+        wait(&mut set, deadline);
+        // Same iteration order as the pushes: the map is unchanged.
+        let mut entries = set[2..].iter();
+        for conn in conns.values_mut() {
+            conn.ready(&mut entries);
         }
     }
-    progress
 }
 
 /// How a parsed client frame was dispatched.
@@ -812,215 +831,20 @@ enum Dispatch {
     Relayed,
 }
 
-/// One readiness sweep over a client connection and its upstream.
-/// Returns (made progress, close now).
-fn sweep_conn(conn: &mut Conn, shared: &Shared, now: Instant) -> (bool, bool) {
+/// One pass over a client connection and its upstreams: relay answers,
+/// fire a due hedge, dispatch client frames, flush, enforce deadlines.
+/// Answers go first so one that frees the connection lets its next
+/// pipelined frame out in the same pass. Returns whether to close.
+fn sweep_conn(conn: &mut Conn, shared: &Shared, now: Instant) -> bool {
     let cfg = &shared.config;
-    let mut progress = false;
-    let mut close = false;
-
-    // Client read phase.
-    if !conn.closing && !conn.eof {
-        let cap = 4 + cfg.max_frame_bytes as usize;
-        let mut chunk = [0u8; 16 * 1024];
-        while conn.read_buf.len() < cap {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    conn.eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
-                    conn.last_activity = now;
-                    progress = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.eof = true;
-                    break;
-                }
-            }
-        }
-    }
-
-    // Parse/dispatch phase: at most one relayed request unanswered,
-    // and a bounded backlog of answered hedge races still draining
-    // their late copies.
-    while !conn.closing && !conn.inflight && conn.pendings.len() < MAX_PENDING_RACES {
-        match parse_frame(&conn.read_buf, cfg.max_frame_bytes) {
-            Ok(None) => {
-                if conn.read_buf.is_empty() {
-                    conn.partial_since = None;
-                } else if conn.partial_since.is_none() {
-                    conn.partial_since = Some(now);
-                }
-                break;
-            }
-            Ok(Some((frame, consumed))) => {
-                let raw: Vec<u8> = conn.read_buf[..consumed].to_vec();
-                conn.read_buf.drain(..consumed);
-                conn.partial_since = None;
-                progress = true;
-                match dispatch(conn, raw, &frame, shared) {
-                    Dispatch::Inline => continue,
-                    Dispatch::Relayed => break,
-                }
-            }
-            Err(FrameError::Fatal(e)) => {
-                conn.queue(&error_response(&e));
-                conn.closing = true;
-            }
-            Err(FrameError::Payload { consumed, error }) => {
-                conn.read_buf.drain(..consumed);
-                conn.partial_since = None;
-                progress = true;
-                conn.queue(&error_response(&error));
-            }
-        }
-    }
-
-    // Upstream sweep: flush our relayed bytes, read responses, relay
-    // them back verbatim (minus swallowed router-injected resumes).
-    let mut upstream_broke = false;
-    let mut earned = 0u32;
-    if let Some(up) = conn.upstream.as_mut() {
-        // Flush.
-        while up.write_pos < up.write_buf.len() {
-            match up.stream.write(&up.write_buf[up.write_pos..]) {
-                Ok(0) => {
-                    upstream_broke = true;
-                    break;
-                }
-                Ok(n) => {
-                    up.write_pos += n;
-                    progress = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    upstream_broke = true;
-                    break;
-                }
-            }
-        }
-        if up.write_pos == up.write_buf.len() {
-            up.write_buf.clear();
-            up.write_pos = 0;
-        }
-        // Read.
-        if !upstream_broke {
-            let cap = 4 + cfg.max_frame_bytes as usize;
-            let mut chunk = [0u8; 16 * 1024];
-            while up.read_buf.len() < cap {
-                match up.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        upstream_broke = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        up.read_buf.extend_from_slice(&chunk[..n]);
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        upstream_broke = true;
-                        break;
-                    }
-                }
-            }
-        }
-        // Relay complete response frames. Frames match, in order, the
-        // pendings the primary still owes (FIFO — backends answer in
-        // request order).
-        loop {
-            match parse_frame(&up.read_buf, cfg.max_frame_bytes) {
-                Ok(Some((_, consumed))) => {
-                    if up.swallow > 0 {
-                        up.swallow -= 1;
-                        up.read_buf.drain(..consumed);
-                        continue;
-                    }
-                    let bytes: Vec<u8> = up.read_buf[..consumed].to_vec();
-                    up.read_buf.drain(..consumed);
-                    let Some(p) = conn.pendings.iter_mut().find(|p| p.primary_owes) else {
-                        // An unsolicited frame: the backend lost frame
-                        // sync — as broken as one that hung up.
-                        upstream_broke = true;
-                        break;
-                    };
-                    p.primary_owes = false;
-                    RouterStats::dec(&shared.backends[p.primary].inflight);
-                    // Score the primary's latency whether or not it won
-                    // the race — a hedge-won brownout must still feed
-                    // the outlier detector the slow samples.
-                    let us = now.duration_since(p.started).as_secs_f64() * 1e6;
-                    shared.backends[p.primary].record_latency_us(us);
-                    match &p.answered {
-                        None => {
-                            // The primary answered first: relay verbatim.
-                            conn.write_buf.extend_from_slice(&bytes);
-                            conn.inflight = false;
-                            earned += 1;
-                            if p.hedge_up.is_some() {
-                                p.answered = Some(bytes);
-                            } else {
-                                p.answered = Some(Vec::new());
-                            }
-                        }
-                        Some(first) => {
-                            // The late copy of a hedge-won race: the
-                            // client already has the standby's answer;
-                            // this one only gets the bitwise check.
-                            if *first != bytes {
-                                RouterStats::bump(&shared.stats.hedge_mismatches);
-                            }
-                        }
-                    }
-                    progress = true;
-                }
-                Ok(None) => break,
-                // A backend speaking garbage is as broken as one that
-                // hung up; the client restarts on a fresh connection.
-                Err(_) => {
-                    upstream_broke = true;
-                    break;
-                }
-            }
-        }
-    }
-    if upstream_broke {
-        if let Some(up) = conn.upstream.take() {
-            let _ = up.stream.shutdown(Shutdown::Both);
-            RouterStats::bump(&shared.backends[up.backend].upstream_failures);
-            shared.backends[up.backend].record_relay_error();
-        }
-        // Everything the primary still owed is gone. Answered races
-        // just forfeit their bitwise check; the unanswered request
-        // may still be saved by an in-flight hedge (`doomed()` below
-        // decides once no copy remains).
-        for p in conn.pendings.iter_mut().filter(|p| p.primary_owes) {
-            p.primary_owes = false;
-            RouterStats::dec(&shared.backends[p.primary].inflight);
-        }
-    }
-    // Completed requests refill the token-bucket retry budget
-    // (deferred out of the relay loop — `earn_budget` needs the whole
-    // connection while the loop holds its upstream).
-    for _ in 0..earned {
+    conn.io.fill(4 + cfg.max_frame_bytes as usize, now);
+    // Completed requests refill the token-bucket retry budget.
+    for _ in 0..relay_primary(conn, shared, now) + sweep_hedges(conn, shared, now) {
         conn.earn_budget(cfg);
     }
-
-    // Hedge sweep: each fired hedge owns a one-shot upstream to the
-    // standby; flush it, read it, and resolve its race.
-    sweep_hedges(conn, shared, now, &mut progress);
-
     // Hedge trigger: the newest pending is the only possibly-
     // unanswered one; past its delay, race a copy to the standby.
-    if !close && !conn.closing {
-        fire_hedge_if_due(conn, shared, now);
-    }
+    fire_hedge_if_due(conn, shared, now);
 
     // A request with no upstream left to answer it is unrecoverable
     // mid-stream: drop the client connection so its retry layer
@@ -1030,179 +854,143 @@ fn sweep_conn(conn: &mut Conn, shared: &Shared, now: Instant) -> (bool, bool) {
     // injection.
     if conn.pendings.iter().any(Pending::doomed) {
         RouterStats::bump(&shared.stats.upstream_drops);
-        close = true;
+        return true;
     }
     conn.pendings.retain(|p| !p.resolved());
 
-    // Client flush phase.
-    if !conn.flushed() {
-        let mut wrote = false;
-        loop {
-            match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
-                Ok(0) => {
-                    close = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.write_pos += n;
-                    wrote = true;
-                    progress = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    close = true;
+    // Parse/dispatch phase: at most one relayed request unanswered,
+    // and a bounded backlog of answered hedge races still draining
+    // their late copies.
+    while !conn.io.closing && !conn.inflight && conn.pendings.len() < MAX_PENDING_RACES {
+        match conn.io.take_frame(cfg.max_frame_bytes, now) {
+            None => break,
+            Some(Inbound::Malformed) => {}
+            Some(Inbound::Frame(frame, raw)) => {
+                if let Dispatch::Relayed = dispatch(conn, raw, &frame, shared) {
                     break;
                 }
             }
-            if conn.flushed() {
-                break;
-            }
         }
-        if conn.flushed() {
-            conn.write_buf.clear();
-            conn.write_pos = 0;
-            conn.write_since = None;
-        } else if wrote || conn.write_since.is_none() {
-            conn.write_since = Some(now);
-        }
+    }
+    // Send what was just relayed; a failure surfaces on the next pass.
+    if let Some(up) = conn.upstream.as_mut() {
+        let _ = up.io.flush(now);
     }
 
-    // Deadline phase — same discipline as the serve core.
-    if !close {
-        if let (Some(limit), Some(since)) = (cfg.read_timeout, conn.partial_since) {
-            if !conn.closing && now.duration_since(since) >= limit {
-                conn.queue(&error_response(&ServeError::Deadline { mid_frame: true }));
-                conn.closing = true;
-            }
-        }
-        if let (Some(limit), Some(since)) = (cfg.write_timeout, conn.write_since) {
-            if now.duration_since(since) >= limit {
-                close = true;
-            }
-        }
-        if let Some(limit) = cfg.idle_timeout {
-            if !conn.inflight
-                && !conn.closing
-                && conn.read_buf.is_empty()
-                && conn.flushed()
-                && now.duration_since(conn.last_activity) >= limit
-            {
-                conn.queue(&error_response(&ServeError::Deadline { mid_frame: false }));
-                conn.closing = true;
-            }
-        }
+    if conn.io.flush(now).is_err() {
+        return true;
     }
-
-    if conn.closing && conn.flushed() {
-        close = true;
+    if conn.io.expire(conn.inflight, now) == Some(Expiry::Stalled) {
+        return true;
     }
-    if conn.eof && !conn.inflight && !conn.closing && conn.flushed() {
-        close = true;
-    }
-    (progress, close)
+    conn.io.finished(conn.inflight)
 }
 
-/// Sweeps every fired hedge: flush its one-shot upstream, read it,
-/// and resolve its race. The standby's answer is relayed if the
-/// primary hasn't landed yet; otherwise it is only compared bitwise
-/// against the already-relayed copy (the primary stays
-/// authoritative — a disagreement is counted, not served).
-fn sweep_hedges(conn: &mut Conn, shared: &Shared, now: Instant, progress: &mut bool) {
+/// Flushes the primary upstream, reads its responses and relays them
+/// back verbatim (minus swallowed router-injected replies). Frames
+/// match, in order, the pendings the primary still owes (FIFO —
+/// backends answer in request order).
+fn relay_primary(conn: &mut Conn, shared: &Shared, now: Instant) -> u32 {
+    let cfg = &shared.config;
+    let Some(up) = conn.upstream.as_mut() else {
+        return 0;
+    };
+    let mut broke = up.pump(4 + cfg.max_frame_bytes as usize, now);
+    let mut earned = 0u32;
+    loop {
+        let bytes = match up.next_answer(cfg.max_frame_bytes) {
+            Ok(Some(bytes)) => bytes,
+            Ok(None) => break,
+            Err(_) => {
+                broke = true;
+                break;
+            }
+        };
+        let Some(p) = conn.pendings.iter_mut().find(|p| p.primary_owes) else {
+            // An unsolicited frame: the backend lost frame sync — as
+            // broken as one that hung up.
+            broke = true;
+            break;
+        };
+        p.primary_owes = false;
+        RouterStats::dec(&shared.backends[p.primary].inflight);
+        // Score the primary's latency whether or not it won the race —
+        // a hedge-won brownout must still feed the outlier detector
+        // the slow samples.
+        let us = now.duration_since(p.started).as_secs_f64() * 1e6;
+        shared.backends[p.primary].record_latency_us(us);
+        if land(p, bytes, &mut conn.io, shared) {
+            conn.inflight = false;
+            earned += 1;
+        }
+    }
+    if broke {
+        if let Some(up) = conn.upstream.take() {
+            up.io.stream.close();
+            RouterStats::bump(&shared.backends[up.backend].upstream_failures);
+            shared.backends[up.backend].record_relay_error();
+        }
+        // Everything the primary still owed is gone. Answered races
+        // just forfeit their bitwise check; the unanswered request may
+        // still be saved by an in-flight hedge (`doomed()` decides
+        // once no copy remains).
+        for p in conn.pendings.iter_mut().filter(|p| p.primary_owes) {
+            p.primary_owes = false;
+            RouterStats::dec(&shared.backends[p.primary].inflight);
+        }
+    }
+    earned
+}
+
+/// Lands one copy of `p`'s answer. The first copy is relayed to the
+/// client verbatim, and kept while another copy may still land; a
+/// late copy is only compared bitwise against it (the client already
+/// has its answer, so a disagreement is counted, not served). Returns
+/// whether this copy answered the request.
+fn land(p: &mut Pending, bytes: Vec<u8>, client: &mut FramedConn, shared: &Shared) -> bool {
+    if let Some(first) = &p.answered {
+        if *first != bytes {
+            RouterStats::bump(&shared.stats.hedge_mismatches);
+        }
+        return false;
+    }
+    client.push(&bytes);
+    let copy_due = p.primary_owes || p.hedge_up.is_some();
+    p.answered = Some(if copy_due { bytes } else { Vec::new() });
+    true
+}
+
+/// Sweeps every fired hedge with the same calls the primary upstream
+/// uses: flush its one-shot upstream, read it, and land its answer.
+/// Returns how many requests a hedge answered.
+fn sweep_hedges(conn: &mut Conn, shared: &Shared, now: Instant) -> u32 {
     let cfg = &shared.config;
     let mut earned = 0u32;
     for p in conn.pendings.iter_mut() {
         let Some(mut up) = p.hedge_up.take() else {
             continue;
         };
-        let mut broke = false;
-        while up.write_pos < up.write_buf.len() {
-            match up.stream.write(&up.write_buf[up.write_pos..]) {
-                Ok(0) => {
-                    broke = true;
-                    break;
-                }
-                Ok(n) => {
-                    up.write_pos += n;
-                    *progress = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    broke = true;
-                    break;
-                }
-            }
-        }
-        if up.write_pos == up.write_buf.len() {
-            up.write_buf.clear();
-            up.write_pos = 0;
-        }
-        if !broke {
-            let cap = 4 + cfg.max_frame_bytes as usize;
-            let mut chunk = [0u8; 16 * 1024];
-            while up.read_buf.len() < cap {
-                match up.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        broke = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        up.read_buf.extend_from_slice(&chunk[..n]);
-                        *progress = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        broke = true;
-                        break;
-                    }
-                }
-            }
-        }
-        // The injected resume's reply first (swallowed), then the one
-        // response this upstream exists for.
-        let mut answer: Option<Vec<u8>> = None;
-        while answer.is_none() && !broke {
-            match parse_frame(&up.read_buf, cfg.max_frame_bytes) {
-                Ok(Some((_, consumed))) => {
-                    if up.swallow > 0 {
-                        up.swallow -= 1;
-                        up.read_buf.drain(..consumed);
-                        continue;
-                    }
-                    answer = Some(up.read_buf[..consumed].to_vec());
-                    up.read_buf.drain(..consumed);
-                }
-                Ok(None) => break,
-                Err(_) => broke = true,
-            }
-        }
+        let mut broke = up.pump(4 + cfg.max_frame_bytes as usize, now);
+        // The injected replies first (swallowed), then the one response
+        // this upstream exists for.
+        let answer = up.next_answer(cfg.max_frame_bytes).unwrap_or_else(|_| {
+            broke = true;
+            None
+        });
+        let standby = up.backend;
         if let Some(bytes) = answer {
-            let standby = up.backend;
-            let _ = up.stream.shutdown(Shutdown::Both);
+            up.io.stream.close();
             RouterStats::dec(&shared.backends[standby].inflight);
             let from = p.hedge_fired.unwrap_or(p.started);
             let us = now.duration_since(from).as_secs_f64() * 1e6;
             shared.backends[standby].record_latency_us(us);
-            *progress = true;
-            match &p.answered {
-                None => {
-                    RouterStats::bump(&shared.stats.hedges_won);
-                    conn.write_buf.extend_from_slice(&bytes);
-                    conn.inflight = false;
-                    earned += 1;
-                    p.answered = Some(bytes);
-                }
-                Some(first) => {
-                    if *first != bytes {
-                        RouterStats::bump(&shared.stats.hedge_mismatches);
-                    }
-                }
+            if land(p, bytes, &mut conn.io, shared) {
+                RouterStats::bump(&shared.stats.hedges_won);
+                conn.inflight = false;
+                earned += 1;
             }
         } else if broke {
-            let standby = up.backend;
-            let _ = up.stream.shutdown(Shutdown::Both);
+            up.io.stream.close();
             RouterStats::dec(&shared.backends[standby].inflight);
             shared.backends[standby].record_relay_error();
             // If the primary is gone too, the caller's `doomed()`
@@ -1212,9 +1000,7 @@ fn sweep_hedges(conn: &mut Conn, shared: &Shared, now: Instant, progress: &mut b
             p.hedge_up = Some(up);
         }
     }
-    for _ in 0..earned {
-        conn.earn_budget(cfg);
-    }
+    earned
 }
 
 /// The delay after which an eligible estimate read hedges: fixed from
@@ -1234,85 +1020,54 @@ fn hedge_delay(cfg: &RouterConfig, primary: &Backend) -> Option<Duration> {
     Some(Duration::from_micros(us as u64))
 }
 
+/// When the newest pending's hedge fires: armed for an unanswered,
+/// undecided, hedge-eligible request on a connection that is not
+/// closing, once the primary's delay is known. The loop waits for it.
+fn hedge_due(conn: &Conn, shared: &Shared) -> Option<Instant> {
+    let p = conn.pendings.back()?;
+    if conn.io.closing || p.answered.is_some() || p.hedge_decided {
+        return None;
+    }
+    p.hedge_to?;
+    Some(p.started + hedge_delay(&shared.config, &shared.backends[p.primary])?)
+}
+
 /// Fires a hedged copy of the newest pending to its standby once the
 /// hedge delay has passed unanswered — if the connection's retry
 /// budget can pay for it. The decision is made at most once per
 /// request.
 fn fire_hedge_if_due(conn: &mut Conn, shared: &Shared, now: Instant) {
+    if !hedge_due(conn, shared).is_some_and(|due| now >= due) {
+        return;
+    }
     let Some(p) = conn.pendings.back_mut() else {
         return;
     };
-    if p.answered.is_some() || p.hedge_decided {
-        return;
-    }
-    let Some(standby) = p.hedge_to else {
-        p.hedge_decided = true;
-        return;
-    };
-    let Some(delay) = hedge_delay(&shared.config, &shared.backends[p.primary]) else {
-        return; // not enough signal yet; keep waiting on the primary
-    };
-    if now.duration_since(p.started) < delay {
-        return;
-    }
     p.hedge_decided = true;
+    let Some(standby) = p.hedge_to else {
+        return;
+    };
     if !shared.backends[standby].is_up() || shared.backends[standby].is_ejected() {
         return;
     }
-    let Some(token) = conn.token.clone() else {
+    let Some(token) = conn.token.as_deref() else {
         return; // hedges only exist for bound tokens
     };
     if conn.budget_mtokens < 1000 {
         RouterStats::bump(&shared.stats.retry_budget_exhausted);
         return;
     }
-    let stream = TcpStream::connect(&shared.backends[standby].spec.addr).and_then(|s| {
-        s.set_nonblocking(true)?;
-        let _ = s.set_nodelay(true);
-        Ok(s)
-    });
-    let stream = match stream {
-        Ok(s) => s,
+    // The hedge copy must read the same durable window the primary
+    // would, in the same encoding (or the bitwise comparison would
+    // flag every race): bind the one-shot upstream to the token.
+    let mut up = match Upstream::open(shared, standby, conn.io.encoding, Some(token)) {
+        Ok(up) => up,
         Err(_) => {
             RouterStats::bump(&shared.backends[standby].upstream_failures);
             return;
         }
     };
-    let mut up = Upstream {
-        stream,
-        backend: standby,
-        read_buf: Vec::new(),
-        write_buf: Vec::new(),
-        write_pos: 0,
-        swallow: 0,
-    };
-    // The standby must answer in the same encoding the primary does,
-    // or the bitwise hedge comparison would flag every race as a
-    // mismatch: replay the hello first on binary connections.
-    if conn.encoding != Encoding::Json {
-        let hello = Request::Hello {
-            encoding: conn.encoding.as_str().to_string(),
-        }
-        .to_json_value();
-        match encode_frame(&hello) {
-            Ok(bytes) => {
-                up.write_buf.extend_from_slice(&bytes);
-                up.swallow += 1;
-            }
-            Err(_) => return,
-        }
-    }
-    // The hedge copy must read the same durable window the primary
-    // would: bind the one-shot connection to the token first.
-    let payload = Request::Resume { token }.to_json_value();
-    match encode_frame(&payload) {
-        Ok(bytes) => {
-            up.write_buf.extend_from_slice(&bytes);
-            up.swallow += 1;
-        }
-        Err(_) => return,
-    }
-    up.write_buf.extend_from_slice(&p.raw);
+    up.io.push(&p.raw);
     conn.budget_mtokens -= 1000;
     RouterStats::bump(&shared.stats.hedges_fired);
     RouterStats::bump(&shared.backends[standby].inflight);
@@ -1324,12 +1079,6 @@ fn fire_hedge_if_due(conn: &mut Conn, shared: &Shared, now: Instant) {
 /// it (verbatim) to the owning backend.
 fn dispatch(conn: &mut Conn, raw: Vec<u8>, frame: &Json, shared: &Shared) -> Dispatch {
     let op = frame.str_field("op").unwrap_or("");
-    // Any non-hello frame closes the negotiation window — the same
-    // rule the backend core applies, so the router's inline verdict
-    // on a late `hello` matches what a direct connection would say.
-    if op != "hello" {
-        conn.saw_data = true;
-    }
     // Deadline propagation: charge the frame's budget the router's
     // hop cost before it goes anywhere. A budget the hop would
     // consume is refused here, typed — the backend round trip would
@@ -1339,9 +1088,10 @@ fn dispatch(conn: &mut Conn, raw: Vec<u8>, frame: &Json, shared: &Shared) -> Dis
         if ms <= ROUTER_HOP_COST_MS {
             RouterStats::bump(&shared.stats.deadline_rejects);
             RouterStats::bump(&shared.stats.frames_inline);
-            conn.queue(&error_response(&ServeError::DeadlineExceeded {
-                remaining_ms: 0,
-            }));
+            conn.io
+                .queue(&error_response(&ServeError::DeadlineExceeded {
+                    remaining_ms: 0,
+                }));
             return Dispatch::Inline;
         }
         // The restamped copy must keep the frame's own wire encoding:
@@ -1351,7 +1101,7 @@ fn dispatch(conn: &mut Conn, raw: Vec<u8>, frame: &Json, shared: &Shared) -> Dis
         match encode_frame_as(&restamped, raw_frame_encoding(&raw)) {
             Ok(bytes) => raw = bytes,
             Err(_) => {
-                conn.closing = true;
+                conn.io.closing = true;
                 return Dispatch::Inline;
             }
         }
@@ -1364,46 +1114,34 @@ fn dispatch(conn: &mut Conn, raw: Vec<u8>, frame: &Json, shared: &Shared) -> Dis
         // hello when it is (re)connected.
         "hello" => {
             RouterStats::bump(&shared.stats.frames_inline);
-            if conn.saw_data {
-                conn.queue(&error_response(&ServeError::Protocol {
-                    reason: "hello must precede all data frames".into(),
-                }));
-                return Dispatch::Inline;
-            }
             let name = frame.str_field("encoding").unwrap_or("json");
-            let (agreed, notice) = match Encoding::from_name(name) {
-                Some(e) => (e, None),
-                None => (
-                    Encoding::Json,
-                    Some(format!("unknown encoding {name:?}, using json")),
-                ),
+            let resp = match conn.io.negotiate(name) {
+                Ok(agreed) => {
+                    if conn.io.encoding == Encoding::Binary {
+                        RouterStats::bump(&shared.stats.binary_conns);
+                    }
+                    ok_response(agreed)
+                }
+                Err(e) => error_response(&e),
             };
-            conn.encoding = agreed;
-            if agreed == Encoding::Binary {
-                RouterStats::bump(&shared.stats.binary_conns);
-            }
-            let mut fields = vec![("encoding", Json::from(agreed.as_str()))];
-            if let Some(n) = notice {
-                fields.push(("notice", Json::from(n.as_str())));
-            }
-            conn.queue(&ok_response(Json::obj(fields)));
+            conn.io.queue(&resp);
             Dispatch::Inline
         }
         // The router's own health surface: answered even with every
         // backend down.
         "healthz" => {
             RouterStats::bump(&shared.stats.frames_inline);
-            conn.queue(&ok_response(shared.healthz_json()));
+            conn.io.queue(&ok_response(shared.healthz_json()));
             Dispatch::Inline
         }
         "readyz" => {
             RouterStats::bump(&shared.stats.frames_inline);
-            conn.queue(&ok_response(shared.readyz_json()));
+            conn.io.queue(&ok_response(shared.readyz_json()));
             Dispatch::Inline
         }
         "metrics" => {
             RouterStats::bump(&shared.stats.frames_inline);
-            conn.queue(&ok_response(shared.metrics_json()));
+            conn.io.queue(&ok_response(shared.metrics_json()));
             Dispatch::Inline
         }
         "resume" => {
@@ -1411,7 +1149,7 @@ fn dispatch(conn: &mut Conn, raw: Vec<u8>, frame: &Json, shared: &Shared) -> Dis
                 Ok(t) if !t.is_empty() => t.to_string(),
                 // Malformed resume: relay it so the backend answers
                 // the protocol error with its own words.
-                _ => return forward(conn, raw, shared, false),
+                _ => return forward(conn, raw, shared),
             };
             let owner = {
                 let mut table = shared.table.lock().expect("table lock");
@@ -1450,15 +1188,15 @@ fn dispatch(conn: &mut Conn, raw: Vec<u8>, frame: &Json, shared: &Shared) -> Dis
                     r.primary_seq = r.primary_seq.saturating_add(1);
                 }
             }
-            forward(conn, raw, shared, false)
+            forward(conn, raw, shared)
         }
         "estimate" => forward_estimate(conn, raw, shared),
         // Labeled training samples go to the token's primary (or the
         // ephemeral placement) like any write, but touch only the
         // shard's shared model state — no client window advances, so
         // no replica-staleness bump.
-        "train" => forward(conn, raw, shared, false),
-        _ => forward(conn, raw, shared, false),
+        "train" => forward(conn, raw, shared),
+        _ => forward(conn, raw, shared),
     }
 }
 
@@ -1471,20 +1209,9 @@ fn dispatch(conn: &mut Conn, raw: Vec<u8>, frame: &Json, shared: &Shared) -> Dis
 fn forward_estimate(conn: &mut Conn, raw: Vec<u8>, shared: &Shared) -> Dispatch {
     let Some(token) = conn.token.clone() else {
         // Ephemeral windows have no replica; nothing to hedge to.
-        return forward(conn, raw, shared, false);
+        return forward(conn, raw, shared);
     };
-    let owner = {
-        let table = shared.table.lock().expect("table lock");
-        match table.get(&token) {
-            Some(&idx) => Some(idx),
-            None => shared
-                .ring
-                .lock()
-                .expect("ring lock")
-                .owner(resume_key(&token)),
-        }
-    };
-    let Some(idx) = owner.filter(|&idx| shared.backends[idx].is_up()) else {
+    let Some(idx) = token_owner(shared, &token).filter(|&idx| shared.backends[idx].is_up()) else {
         return refuse(conn, shared);
     };
     let standby = synced_standby(shared, &token).filter(|&s| s != idx);
@@ -1517,20 +1244,23 @@ fn synced_standby(shared: &Shared, token: &str) -> Option<usize> {
         .then_some(s)
 }
 
+/// The backend owning `token`: its routing-table entry (which live
+/// migration keeps current), else its ring owner.
+fn token_owner(shared: &Shared, token: &str) -> Option<usize> {
+    let table = shared.table.lock().expect("table lock");
+    table.get(token).copied().or_else(|| {
+        shared
+            .ring
+            .lock()
+            .expect("ring lock")
+            .owner(resume_key(token))
+    })
+}
+
 /// Relays a frame to the backend owning this connection's traffic.
-fn forward(conn: &mut Conn, raw: Vec<u8>, shared: &Shared, is_resume: bool) -> Dispatch {
+fn forward(conn: &mut Conn, raw: Vec<u8>, shared: &Shared) -> Dispatch {
     let owner = match &conn.token {
-        Some(token) => {
-            let table = shared.table.lock().expect("table lock");
-            match table.get(token) {
-                Some(&idx) => Some(idx),
-                None => shared
-                    .ring
-                    .lock()
-                    .expect("ring lock")
-                    .owner(resume_key(token)),
-            }
-        }
+        Some(token) => token_owner(shared, token),
         None => {
             // Ephemeral placement: stable for this connection's life,
             // re-resolved only if the placed backend went down.
@@ -1546,7 +1276,7 @@ fn forward(conn: &mut Conn, raw: Vec<u8>, shared: &Shared, is_resume: bool) -> D
     };
     match owner {
         Some(idx) if shared.backends[idx].is_up() => {
-            forward_to(conn, raw, shared, idx, is_resume, None)
+            forward_to(conn, raw, shared, idx, false, None)
         }
         _ => refuse(conn, shared),
     }
@@ -1563,13 +1293,9 @@ fn forward_to(
     is_resume: bool,
     hedge_to: Option<usize>,
 ) -> Dispatch {
-    let reconnect = match conn.upstream.as_ref() {
-        Some(up) => up.backend != idx,
-        None => true,
-    };
-    if reconnect {
+    if !matches!(&conn.upstream, Some(up) if up.backend == idx) {
         if let Some(up) = conn.upstream.take() {
-            let _ = up.stream.shutdown(Shutdown::Both);
+            up.io.stream.close();
         }
         // Late loser copies still owed by the old upstream will never
         // arrive now; they forfeit their bitwise check. (The parse
@@ -1578,74 +1304,17 @@ fn forward_to(
             p.primary_owes = false;
             RouterStats::dec(&shared.backends[p.primary].inflight);
         }
-        let stream = TcpStream::connect(&shared.backends[idx].spec.addr).and_then(|s| {
-            s.set_nonblocking(true)?;
-            let _ = s.set_nodelay(true);
-            Ok(s)
-        });
-        let stream = match stream {
-            Ok(s) => s,
+        let token = conn.token.as_deref().filter(|_| !is_resume);
+        match Upstream::open(shared, idx, conn.io.encoding, token) {
+            Ok(up) => conn.upstream = Some(up),
             Err(_) => {
                 RouterStats::bump(&shared.backends[idx].upstream_failures);
                 return refuse(conn, shared);
             }
-        };
-        let mut up = Upstream {
-            stream,
-            backend: idx,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            write_pos: 0,
-            swallow: 0,
-        };
-        // A binary-negotiated client must find every fresh upstream
-        // speaking binary too — responses are relayed verbatim, and a
-        // reconnect must not silently switch the wire encoding
-        // mid-connection. Replay the hello before anything else (it
-        // must precede the injected resume, which counts as data);
-        // its reply is the router's business, not the client's.
-        if conn.encoding != Encoding::Json {
-            let hello = Request::Hello {
-                encoding: conn.encoding.as_str().to_string(),
-            }
-            .to_json_value();
-            match encode_frame(&hello) {
-                Ok(bytes) => {
-                    up.write_buf.extend_from_slice(&bytes);
-                    up.swallow += 1;
-                }
-                Err(_) => {
-                    conn.closing = true;
-                    return Dispatch::Inline;
-                }
-            }
         }
-        // A re-routed connection with a bound identity must re-bind
-        // before its next request, or the backend would file samples
-        // under a cold ephemeral window. The injected resume's
-        // response is the router's business, not the client's.
-        if !is_resume {
-            if let Some(token) = &conn.token {
-                let payload = Request::Resume {
-                    token: token.clone(),
-                }
-                .to_json_value();
-                match encode_frame(&payload) {
-                    Ok(bytes) => {
-                        up.write_buf.extend_from_slice(&bytes);
-                        up.swallow += 1;
-                    }
-                    Err(_) => {
-                        conn.closing = true;
-                        return Dispatch::Inline;
-                    }
-                }
-            }
-        }
-        conn.upstream = Some(up);
     }
     let up = conn.upstream.as_mut().expect("upstream just ensured");
-    up.write_buf.extend_from_slice(&raw);
+    up.io.push(&raw);
     conn.inflight = true;
     conn.pendings.push_back(Pending {
         primary: idx,
@@ -1672,7 +1341,7 @@ fn forward_to(
 fn refuse(conn: &mut Conn, shared: &Shared) -> Dispatch {
     RouterStats::bump(&shared.stats.no_backend_rejects);
     RouterStats::bump(&shared.stats.frames_inline);
-    conn.queue(&error_response(&ServeError::Overloaded {
+    conn.io.queue(&error_response(&ServeError::Overloaded {
         retry_after_ms: shared.config.retry_after_ms,
     }));
     Dispatch::Inline

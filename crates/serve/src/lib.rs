@@ -74,6 +74,7 @@ pub mod checkpoint;
 pub mod client;
 pub mod engine;
 mod error;
+pub mod framed;
 pub mod fsutil;
 pub mod protocol;
 pub mod registry;

@@ -73,9 +73,13 @@ use crate::batch::{assemble, BatchPolicy, ChannelSource, Job};
 use crate::checkpoint::{load_checkpoint, write_checkpoint, CheckpointData, CheckpointOutcome};
 use crate::engine::{CounterSample, EngineConfig, EstimatorEngine};
 use crate::error::ServeError;
+use crate::framed::{
+    accept_under_budget, earliest, wait, Doorbell, Expiry, FramedConn, Inbound, Listener, Ringer,
+    Timeouts,
+};
 use crate::protocol::{
-    encode_frame, encode_frame_as, error_response, frame_deadline_ms, is_core_inline_frame,
-    is_hello_frame, ok_response, parse_frame, Encoding, FrameError, Request, MAX_FRAME_BYTES,
+    encode_frame_as, error_response, frame_deadline_ms, is_core_inline_frame, ok_response,
+    Encoding, Request, MAX_FRAME_BYTES,
 };
 use crate::registry::ModelRegistry;
 use crate::stats::ServerStats;
@@ -84,13 +88,12 @@ use crate::trainer::{Trainer, TrainerConfig};
 use pmc_json::Json;
 use pmc_model::model::PowerModel;
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
+    channel, sync_channel, Receiver, RecvTimeoutError, SendError, Sender, SyncSender, TrySendError,
 };
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -230,129 +233,17 @@ impl HealthState {
     }
 }
 
-/// A client byte stream, TCP or Unix-domain.
-enum Stream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixStream),
-}
-
-impl Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_nonblocking(nb),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.set_nonblocking(nb),
-        }
-    }
-
-    fn close(&self) {
-        match self {
-            Stream::Tcp(s) => {
-                let _ = s.shutdown(Shutdown::Both);
-            }
-            #[cfg(unix)]
-            Stream::Unix(s) => {
-                let _ = s.shutdown(Shutdown::Both);
-            }
-        }
-    }
-}
-
-/// An accept source feeding the readiness loop.
-enum Listener {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixListener),
-}
-
-impl Listener {
-    /// Non-blocking accept; the returned stream is already
-    /// non-blocking. `WouldBlock` means "no pending connection".
-    fn accept(&self) -> std::io::Result<Stream> {
-        let stream = match self {
-            Listener::Tcp(l) => Stream::Tcp(l.accept()?.0),
-            #[cfg(unix)]
-            Listener::Unix(l) => Stream::Unix(l.accept()?.0),
-        };
-        stream.set_nonblocking(true)?;
-        Ok(stream)
-    }
-}
-
-/// Per-connection state owned by the core thread.
+/// Per-connection state owned by the core thread: the shared framed
+/// connection plus what this tier adds.
 struct Conn {
-    stream: Stream,
+    io: FramedConn,
     /// Engine key this connection's samples accumulate under. Defaults
     /// to the connection id (ephemeral — forgotten on close); a
     /// `resume` op rebinds it to a durable token-derived key (bit 63
     /// set) that survives disconnects and checkpointed restarts.
     client: u64,
-    /// Bytes received but not yet parsed into frames.
-    read_buf: Vec<u8>,
-    /// Encoded response bytes not yet accepted by the socket.
-    write_buf: Vec<u8>,
-    /// How much of `write_buf` the socket has taken.
-    write_pos: usize,
-    /// Last time any byte arrived (drives the idle reaper).
-    last_activity: Instant,
-    /// When the current *incomplete* frame was first seen
-    /// (slow-loris clock); `None` while the buffer is empty, holds a
-    /// complete frame, or a request is in flight.
-    partial_since: Option<Instant>,
-    /// When the unflushed tail of `write_buf` last made progress.
-    write_since: Option<Instant>,
     /// A request from this connection is running or queued.
     inflight: bool,
-    /// Close once the write buffer flushes; stop reading now.
-    closing: bool,
-    /// The peer half-closed (or errored) its sending side.
-    eof: bool,
-    /// Response payload encoding, negotiated by a leading `hello` op
-    /// (JSON until then).
-    encoding: Encoding,
-    /// A non-`hello` frame has arrived — negotiation is closed.
-    saw_data: bool,
-}
-
-impl Conn {
-    fn new(stream: Stream, now: Instant, id: u64) -> Self {
-        Conn {
-            stream,
-            client: id,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            write_pos: 0,
-            last_activity: now,
-            partial_since: None,
-            write_since: None,
-            inflight: false,
-            closing: false,
-            eof: false,
-            encoding: Encoding::Json,
-            saw_data: false,
-        }
-    }
-
-    fn flushed(&self) -> bool {
-        self.write_pos == self.write_buf.len()
-    }
 }
 
 /// The request handler shared by all workers: registry + engine + stats.
@@ -816,6 +707,8 @@ pub struct PowerServer {
     addr: SocketAddr,
     uds_path: Option<String>,
     stop: Arc<AtomicBool>,
+    /// Wakes the core out of its poll (shutdown).
+    bell: Ringer,
     core: Option<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
     stats: Arc<ServerStats>,
@@ -837,17 +730,10 @@ impl PowerServer {
         let mut listeners = vec![Listener::Tcp(tcp)];
         let uds_path = config.uds_path.clone();
         if let Some(path) = &config.uds_path {
-            #[cfg(unix)]
-            {
-                let _ = std::fs::remove_file(path);
-                let l = std::os::unix::net::UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
-                listeners.push(Listener::Unix(l));
-            }
-            #[cfg(not(unix))]
-            return Err(ServeError::Registry {
-                reason: format!("unix sockets unsupported on this platform: {path}"),
-            });
+            let _ = std::fs::remove_file(path);
+            let l = std::os::unix::net::UnixListener::bind(path)?;
+            l.set_nonblocking(true)?;
+            listeners.push(Listener::Unix(l));
         }
 
         let stats = Arc::new(ServerStats::default());
@@ -920,13 +806,17 @@ impl PowerServer {
             config: config.clone(),
         });
         let stop = Arc::new(AtomicBool::new(false));
+        let bell = Doorbell::new()?;
         let (job_tx, job_rx) = sync_channel::<Job>(config.queue_depth.max(1));
         let (done_tx, done_rx) = channel::<Vec<Completion>>();
         let (exit_tx, exit_rx) = channel::<usize>();
 
         let spawner = WorkerSpawner {
             job_rx: Arc::new(Mutex::new(job_rx)),
-            done_tx,
+            done: Done {
+                tx: done_tx,
+                bell: bell.ringer(),
+            },
             service: Arc::clone(&service),
             busy: Arc::new((0..config.workers).map(|_| AtomicU64::new(0)).collect()),
             started_at: Instant::now(),
@@ -941,28 +831,33 @@ impl PowerServer {
             std::thread::spawn(move || supervise(spawner, handles, exit_rx, &stop))
         };
 
+        let ringer = bell.ringer();
         let core = {
             let stop = Arc::clone(&stop);
             let service = Arc::clone(&service);
-            std::thread::spawn(move || {
-                Core {
-                    listeners,
-                    conns: HashMap::new(),
-                    next_id: 1,
-                    inflight: 0,
-                    job_tx: Some(job_tx),
-                    done_rx,
-                    service,
-                    stop,
-                }
-                .run();
-            })
+            std::thread::Builder::new()
+                .name("pmc-serve-core".into())
+                .spawn(move || {
+                    Core {
+                        listeners,
+                        conns: HashMap::new(),
+                        next_id: 1,
+                        inflight: 0,
+                        job_tx: Some(job_tx),
+                        done_rx,
+                        bell,
+                        service,
+                        stop,
+                    }
+                    .run();
+                })?
         };
 
         Ok(PowerServer {
             addr,
             uds_path,
             stop,
+            bell: ringer,
             core: Some(core),
             supervisor: Some(supervisor),
             stats,
@@ -1002,6 +897,7 @@ impl PowerServer {
     /// registry, joins every thread. Idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.bell.ring();
         if let Some(core) = self.core.take() {
             let _ = core.join();
         }
@@ -1034,12 +930,30 @@ fn encoded(conn: u64, encoding: Encoding, resp: &Json) -> Completion {
     (conn, encode_frame_as(resp, encoding).ok())
 }
 
+/// The workers' end of the completion channel: every send rings the
+/// core's doorbell after it lands, so a core blocked in `poll(2)`
+/// wakes for it (the core drains the doorbell before `try_recv`, so no
+/// completion is missed).
+#[derive(Clone)]
+struct Done {
+    tx: Sender<Vec<Completion>>,
+    bell: Ringer,
+}
+
+impl Done {
+    fn send(&self, items: Vec<Completion>) -> Result<(), SendError<Vec<Completion>>> {
+        self.tx.send(items)?;
+        self.bell.ring();
+        Ok(())
+    }
+}
+
 /// Everything needed to (re)spawn a worker into a given pool slot.
 /// Owned by the supervisor after startup — respawning a panicked
 /// worker reuses the exact channels and shared state of the original.
 struct WorkerSpawner {
     job_rx: Arc<Mutex<Receiver<Job>>>,
-    done_tx: Sender<Vec<Completion>>,
+    done: Done,
     service: Arc<Service>,
     /// Per-slot busy markers: nanoseconds since `started_at` when the
     /// slot began its current assembly, 0 while idle. The watchdog
@@ -1052,14 +966,14 @@ struct WorkerSpawner {
 impl WorkerSpawner {
     fn spawn(&self, slot: usize) -> JoinHandle<()> {
         let job_rx = Arc::clone(&self.job_rx);
-        let done_tx = self.done_tx.clone();
+        let done = self.done.clone();
         let service = Arc::clone(&self.service);
         let busy = Arc::clone(&self.busy);
         let started_at = self.started_at;
         let exit_tx = self.exit_tx.clone();
         std::thread::spawn(move || {
             let _notice = ExitNotice { slot, tx: exit_tx };
-            worker_loop(&job_rx, &done_tx, &service, &busy[slot], started_at);
+            worker_loop(&job_rx, &done, &service, &busy[slot], started_at);
         })
     }
 }
@@ -1209,7 +1123,7 @@ fn jittered_interval(base: Duration, rng: &mut u64) -> Duration {
 /// this worker — the supervisor respawns the slot.
 fn worker_loop(
     job_rx: &Mutex<Receiver<Job>>,
-    done: &Sender<Vec<Completion>>,
+    done: &Done,
     service: &Service,
     busy: &AtomicU64,
     started_at: Instant,
@@ -1307,7 +1221,7 @@ fn worker_loop(
 /// core is gone.
 fn run_assembly(
     jobs: Vec<Job>,
-    done: &Sender<Vec<Completion>>,
+    done: &Done,
     service: &Service,
     answered: &std::cell::RefCell<Vec<u64>>,
 ) -> bool {
@@ -1370,7 +1284,7 @@ fn run_assembly(
 fn flush_ingests(
     pending: &mut Vec<(u64, u64, CounterSample)>,
     pending_encs: &mut Vec<Encoding>,
-    done: &Sender<Vec<Completion>>,
+    done: &Done,
     service: &Service,
     answered: &std::cell::RefCell<Vec<u64>>,
 ) -> bool {
@@ -1394,7 +1308,10 @@ fn flush_ingests(
     .is_ok()
 }
 
-/// The readiness core: owns listeners and connections, sweeps them.
+/// The readiness core: owns listeners and connections. Each pass
+/// handles whatever is ready, then blocks in `poll(2)` until a socket
+/// event, a doorbell ring (a worker completion or shutdown) or the
+/// earliest deadline.
 struct Core {
     listeners: Vec<Listener>,
     conns: HashMap<u64, Conn>,
@@ -1406,6 +1323,8 @@ struct Core {
     /// Finished work arrives in groups: one message per shed set,
     /// per batched ingest run, or per individual op.
     done_rx: Receiver<Vec<Completion>>,
+    /// Rung after every completion send and by shutdown.
+    bell: Doorbell,
     service: Arc<Service>,
     stop: Arc<AtomicBool>,
 }
@@ -1413,36 +1332,36 @@ struct Core {
 impl Core {
     fn run(mut self) {
         let cfg = self.service.config.clone();
+        let cap = 4 + cfg.max_frame_bytes as usize;
         let mut drain_start: Option<Instant> = None;
-        // Consecutive no-progress sweeps; the long idle nap is taken
-        // only after a streak, so a client (or proxy) whose next
-        // request arrives a few hundred µs after the last response
-        // doesn't pay a multi-ms wakeup tail.
-        let mut idle_streak = 0u32;
+        let mut set = Vec::new();
         loop {
+            // Drain the doorbell before looking at what it announced: a
+            // ring landing after this stays pending for the next wait.
+            self.bell.drain();
             if drain_start.is_none() && self.stop.load(Ordering::SeqCst) {
                 drain_start = Some(Instant::now());
                 self.listeners.clear(); // stop accepting
                 self.job_tx = None; // workers exit once the queue drains
             }
             let draining = drain_start.is_some();
-
-            let mut progress = false;
-            if !draining {
-                progress |= self.accept(&cfg);
+            while let Ok(items) = self.done_rx.try_recv() {
+                for (id, resp) in items {
+                    self.complete(id, resp);
+                }
             }
-            progress |= self.pump_completions();
+            self.accept(&cfg);
 
             let now = Instant::now();
             let mut to_close = Vec::new();
             for (&id, conn) in self.conns.iter_mut() {
-                if draining && !conn.inflight && !conn.closing {
+                if draining && !conn.inflight && !conn.io.closing {
                     // In-flight work already finished (or never
                     // existed): notify and close.
-                    queue_frame(conn, &error_response(&ServeError::Draining));
-                    conn.closing = true;
+                    conn.io.queue(&error_response(&ServeError::Draining));
+                    conn.io.closing = true;
                 }
-                let (p, close) = sweep_conn(
+                let close = sweep_conn(
                     id,
                     conn,
                     &self.service,
@@ -1451,20 +1370,18 @@ impl Core {
                     self.job_tx.as_ref(),
                     now,
                 );
-                progress |= p;
                 if close {
                     to_close.push(id);
                 }
             }
             for id in to_close {
                 self.close_conn(id);
-                progress = true;
             }
 
-            if let Some(start) = drain_start {
+            let drain_deadline = drain_start.map(|start| start + cfg.drain_deadline);
+            if let (Some(start), Some(deadline)) = (drain_start, drain_deadline) {
                 let done = self.conns.is_empty() && self.inflight == 0;
-                let expired = start.elapsed() >= cfg.drain_deadline;
-                if done || expired {
+                if done || Instant::now() >= deadline {
                     let ids: Vec<u64> = self.conns.keys().copied().collect();
                     for id in ids {
                         self.close_conn(id);
@@ -1483,86 +1400,52 @@ impl Core {
                 }
             }
 
-            // The completion channel doubles as the wakeup primitive:
-            // sleep briefly, but a finishing worker cuts the nap short.
-            // While traffic is flowing the nap must stay well under a
-            // request's service time — socket readability has no
-            // wakeup of its own, so the active nap bounds how fast new
-            // frames are noticed (and therefore caps throughput).
-            let nap = if progress {
-                idle_streak = 0;
-                Duration::from_micros(20)
-            } else {
-                idle_streak = idle_streak.saturating_add(1);
-                if idle_streak < 64 {
-                    Duration::from_micros(20)
-                } else {
-                    Duration::from_millis(5)
-                }
-            };
-            match self.done_rx.recv_timeout(nap) {
-                Ok(items) => {
-                    for (id, resp) in items {
-                        self.complete(id, resp);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                // All workers gone (only during drain, or a panic):
-                // keep sweeping on a timer.
-                Err(RecvTimeoutError::Disconnected) => std::thread::sleep(nap),
+            set.clear();
+            set.push(self.bell.interest());
+            set.extend(self.listeners.iter().map(Listener::interest));
+            let mut deadline = drain_deadline;
+            for conn in self.conns.values() {
+                set.push(conn.io.interest(cap));
+                deadline = earliest(deadline, conn.io.next_deadline(conn.inflight));
+            }
+            wait(&mut set, deadline);
+            // Same iteration order as the pushes: the map is unchanged.
+            let entries = &set[1 + self.listeners.len()..];
+            for (conn, entry) in self.conns.values_mut().zip(entries) {
+                conn.io.ready(entry);
             }
         }
     }
 
     /// Accepts pending connections up to the admission budget; past
     /// it, sheds with a typed overload frame.
-    fn accept(&mut self, cfg: &ServerConfig) -> bool {
-        let mut progress = false;
+    fn accept(&mut self, cfg: &ServerConfig) {
         let now = Instant::now();
-        for i in 0..self.listeners.len() {
-            loop {
-                let accepted = self.listeners[i].accept();
-                match accepted {
-                    Ok(mut stream) => {
-                        progress = true;
-                        if self.conns.len() >= cfg.max_connections {
-                            ServerStats::bump(&self.service.stats.connections_shed);
-                            if let Ok(bytes) =
-                                encode_frame(&error_response(&ServeError::Overloaded {
-                                    retry_after_ms: cfg.retry_after_ms,
-                                }))
-                            {
-                                // A fresh socket buffer always takes a
-                                // tiny frame; best effort regardless.
-                                let _ = stream.write(&bytes);
-                            }
-                            stream.close();
-                            continue;
-                        }
-                        let id = self.next_id;
-                        self.next_id += 1;
-                        self.conns.insert(id, Conn::new(stream, now, id));
-                        ServerStats::bump(&self.service.stats.connections_accepted);
-                        ServerStats::bump(&self.service.stats.connections_open);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
-                }
-            }
+        let limits = Timeouts {
+            read: cfg.read_timeout,
+            write: cfg.write_timeout,
+            idle: cfg.idle_timeout,
+        };
+        for listener in &self.listeners {
+            let room = cfg.max_connections.saturating_sub(self.conns.len());
+            let stats = &self.service.stats;
+            let admit = |stream| {
+                let id = self.next_id;
+                self.next_id += 1;
+                self.conns.insert(
+                    id,
+                    Conn {
+                        io: FramedConn::new(stream, limits, now),
+                        client: id,
+                        inflight: false,
+                    },
+                );
+                ServerStats::bump(&stats.connections_accepted);
+                ServerStats::bump(&stats.connections_open);
+            };
+            let shed = || ServerStats::bump(&stats.connections_shed);
+            accept_under_budget(listener, room, cfg.retry_after_ms, admit, shed);
         }
-        progress
-    }
-
-    /// Drains finished requests into their connections' write buffers.
-    fn pump_completions(&mut self) -> bool {
-        let mut progress = false;
-        while let Ok(items) = self.done_rx.try_recv() {
-            progress = true;
-            for (id, resp) in items {
-                self.complete(id, resp);
-            }
-        }
-        progress
     }
 
     fn complete(&mut self, id: u64, frame: Option<Vec<u8>>) {
@@ -1572,17 +1455,17 @@ impl Core {
         if let Some(conn) = self.conns.get_mut(&id) {
             conn.inflight = false;
             match frame {
-                Some(bytes) => conn.write_buf.extend_from_slice(&bytes),
+                Some(bytes) => conn.io.push(&bytes),
                 // Unencodable (oversized) response: there is no way
                 // to answer in-protocol — close the connection.
-                None => conn.closing = true,
+                None => conn.io.closing = true,
             }
         }
     }
 
     fn close_conn(&mut self, id: u64) {
         if let Some(conn) = self.conns.remove(&id) {
-            conn.stream.close();
+            conn.io.stream.close();
             // Ephemeral engine state dies with the connection; a
             // resumed (token-keyed) window outlives it by design.
             if conn.client == id {
@@ -1590,17 +1473,6 @@ impl Core {
             }
             ServerStats::dec(&self.service.stats.connections_open);
         }
-    }
-}
-
-/// Appends one frame, encoded in the connection's negotiated
-/// encoding, to its write buffer; on an encode failure (oversized
-/// response) the connection is marked for close — there is no way to
-/// answer in-protocol.
-fn queue_frame(conn: &mut Conn, payload: &Json) {
-    match encode_frame_as(payload, conn.encoding) {
-        Ok(bytes) => conn.write_buf.extend_from_slice(&bytes),
-        Err(_) => conn.closing = true,
     }
 }
 
@@ -1622,32 +1494,18 @@ fn core_inline_response(
         Ok(Request::Healthz) => ok_response(service.healthz_json(draining)),
         Ok(Request::Readyz) => ok_response(service.readyz_json(draining)),
         Ok(Request::Metrics) => ok_response(service.metrics_json()),
-        Ok(Request::Hello { encoding }) => {
-            if conn.saw_data {
+        Ok(Request::Hello { encoding }) => match conn.io.negotiate(&encoding) {
+            Ok(agreed) => {
+                if conn.io.encoding == Encoding::Binary {
+                    ServerStats::bump(&service.stats.binary_conns);
+                }
+                ok_response(agreed)
+            }
+            Err(e) => {
                 ServerStats::bump(&service.stats.frames_errored);
-                return error_response(&ServeError::Protocol {
-                    reason: "hello must precede all data frames".into(),
-                });
+                error_response(&e)
             }
-            // Unknown names fall back to JSON with a typed notice —
-            // a newer client degrades loudly instead of desyncing.
-            let (agreed, notice) = match Encoding::from_name(&encoding) {
-                Some(e) => (e, None),
-                None => (
-                    Encoding::Json,
-                    Some(format!("unknown encoding {encoding:?}, using json")),
-                ),
-            };
-            conn.encoding = agreed;
-            if agreed == Encoding::Binary {
-                ServerStats::bump(&service.stats.binary_conns);
-            }
-            let mut fields = vec![("encoding", Json::from(agreed.as_str()))];
-            if let Some(n) = notice {
-                fields.push(("notice", Json::from(n.as_str())));
-            }
-            ok_response(Json::obj(fields))
-        }
+        },
         Ok(Request::Resume { token }) => {
             let key = resume_key(&token);
             if conn.client == id {
@@ -1674,9 +1532,9 @@ fn core_inline_response(
     }
 }
 
-/// One readiness sweep over a single connection: read what the socket
-/// has, parse and dispatch at most one request, flush pending writes,
-/// enforce deadlines. Returns (made progress, close now).
+/// One pass over a single connection: read what the socket has, parse
+/// and dispatch at most one request, flush pending writes, enforce
+/// deadlines. Returns whether to close it now.
 fn sweep_conn(
     id: u64,
     conn: &mut Conn,
@@ -1685,235 +1543,95 @@ fn sweep_conn(
     inflight: &mut usize,
     job_tx: Option<&SyncSender<Job>>,
     now: Instant,
-) -> (bool, bool) {
+) -> bool {
     let cfg = &service.config;
-    let mut progress = false;
-    let mut close = false;
-
-    // Read phase: accumulate whatever the socket has, bounded by one
-    // maximal frame past the parse point (TCP backpressure does the
-    // rest).
-    if !conn.closing && !conn.eof {
-        let cap = 4 + cfg.max_frame_bytes as usize;
-        let mut chunk = [0u8; 16 * 1024];
-        while conn.read_buf.len() < cap {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    conn.eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
-                    conn.last_activity = now;
-                    progress = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    // Peer reset: nothing more will arrive.
-                    conn.eof = true;
-                    break;
-                }
-            }
-        }
-    }
+    conn.io.fill(4 + cfg.max_frame_bytes as usize, now);
 
     // Parse/dispatch phase: at most one request goes in flight;
     // payload-level garbage is answered inline and parsing continues.
-    while !conn.closing && !conn.inflight {
-        match parse_frame(&conn.read_buf, cfg.max_frame_bytes) {
-            Ok(None) => {
-                if conn.read_buf.is_empty() {
-                    conn.partial_since = None;
-                } else if conn.partial_since.is_none() {
-                    conn.partial_since = Some(now);
-                }
-                break;
-            }
-            Ok(Some((frame, consumed))) => {
-                conn.read_buf.drain(..consumed);
-                conn.partial_since = None;
-                progress = true;
-                ServerStats::bump(&service.stats.frames_received);
-                // Any non-hello frame closes the negotiation window —
-                // a later hello is a typed error, so a mid-stream
-                // encoding flip can never tear responses in transit.
-                if !is_hello_frame(&frame) {
-                    conn.saw_data = true;
-                }
-                // Health, metrics, resume and hello are answered by
-                // the core itself — never queued, never counted
-                // against the in-flight budget. Liveness probes must
-                // keep working when every worker is wedged or the
-                // queue is full (and hello mutates per-connection
-                // encoding state only the core owns).
-                if is_core_inline_frame(&frame) {
-                    let resp = core_inline_response(id, conn, &frame, service, draining);
-                    queue_frame(conn, &resp);
-                    continue;
-                }
-                if draining {
-                    queue_frame(conn, &error_response(&ServeError::Draining));
-                    conn.closing = true;
-                    break;
-                }
-                if *inflight >= cfg.max_inflight {
-                    ServerStats::bump(&service.stats.requests_rejected_overload);
-                    queue_frame(
-                        conn,
-                        &error_response(&ServeError::Overloaded {
-                            retry_after_ms: cfg.retry_after_ms,
-                        }),
-                    );
-                    continue;
-                }
-                // Propagated deadline: resolve the frame's relative
-                // budget against the local clock now, at ingress. A
-                // zero budget is already spent — answer the typed
-                // status immediately instead of queueing doomed work.
-                let deadline = match frame_deadline_ms(&frame) {
-                    Some(0) => {
-                        ServerStats::bump(&service.stats.requests_deadline_exceeded);
-                        queue_frame(
-                            conn,
-                            &error_response(&ServeError::DeadlineExceeded { remaining_ms: 0 }),
-                        );
-                        continue;
-                    }
-                    Some(ms) => Some(now + Duration::from_millis(ms)),
-                    None => None,
-                };
-                match job_tx {
-                    Some(tx) => match tx.try_send(Job {
-                        conn: id,
-                        client: conn.client,
-                        frame,
-                        enqueued: now,
-                        deadline,
-                        encoding: conn.encoding,
-                    }) {
-                        Ok(()) => {
-                            conn.inflight = true;
-                            *inflight += 1;
-                        }
-                        Err(TrySendError::Full(_)) => {
-                            ServerStats::bump(&service.stats.requests_rejected_overload);
-                            queue_frame(
-                                conn,
-                                &error_response(&ServeError::Overloaded {
-                                    retry_after_ms: cfg.retry_after_ms,
-                                }),
-                            );
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            queue_frame(conn, &error_response(&ServeError::Draining));
-                            conn.closing = true;
-                        }
-                    },
-                    None => {
-                        queue_frame(conn, &error_response(&ServeError::Draining));
-                        conn.closing = true;
-                    }
-                }
-            }
-            Err(FrameError::Fatal(e)) => {
+    while !conn.io.closing && !conn.inflight {
+        let frame = match conn.io.take_frame(cfg.max_frame_bytes, now) {
+            None => break,
+            Some(Inbound::Frame(frame, _)) => frame,
+            Some(Inbound::Malformed) => {
                 ServerStats::bump(&service.stats.frames_errored);
-                queue_frame(conn, &error_response(&e));
-                conn.closing = true;
+                continue;
             }
-            Err(FrameError::Payload { consumed, error }) => {
-                conn.read_buf.drain(..consumed);
-                conn.partial_since = None;
-                progress = true;
-                ServerStats::bump(&service.stats.frames_errored);
-                queue_frame(conn, &error_response(&error));
+        };
+        ServerStats::bump(&service.stats.frames_received);
+        // Health, metrics, resume and hello are answered by the core
+        // itself — never queued, never counted against the in-flight
+        // budget. Liveness probes must keep working when every worker
+        // is wedged or the queue is full (and hello mutates
+        // per-connection encoding state only the core owns).
+        if is_core_inline_frame(&frame) {
+            let resp = core_inline_response(id, conn, &frame, service, draining);
+            conn.io.queue(&resp);
+            continue;
+        }
+        if draining {
+            conn.io.queue(&error_response(&ServeError::Draining));
+            conn.io.closing = true;
+            break;
+        }
+        let overloaded = ServeError::Overloaded {
+            retry_after_ms: cfg.retry_after_ms,
+        };
+        if *inflight >= cfg.max_inflight {
+            ServerStats::bump(&service.stats.requests_rejected_overload);
+            conn.io.queue(&error_response(&overloaded));
+            continue;
+        }
+        // Propagated deadline: resolve the frame's relative budget
+        // against the local clock now, at ingress. A zero budget is
+        // already spent — answer the typed status immediately instead
+        // of queueing doomed work.
+        let deadline = match frame_deadline_ms(&frame) {
+            Some(0) => {
+                ServerStats::bump(&service.stats.requests_deadline_exceeded);
+                conn.io
+                    .queue(&error_response(&ServeError::DeadlineExceeded {
+                        remaining_ms: 0,
+                    }));
+                continue;
+            }
+            Some(ms) => Some(now + Duration::from_millis(ms)),
+            None => None,
+        };
+        let job = Job {
+            conn: id,
+            client: conn.client,
+            frame,
+            enqueued: now,
+            deadline,
+            encoding: conn.io.encoding,
+        };
+        match job_tx.map(|tx| tx.try_send(job)) {
+            Some(Ok(())) => {
+                conn.inflight = true;
+                *inflight += 1;
+            }
+            Some(Err(TrySendError::Full(_))) => {
+                ServerStats::bump(&service.stats.requests_rejected_overload);
+                conn.io.queue(&error_response(&overloaded));
+            }
+            Some(Err(TrySendError::Disconnected(_))) | None => {
+                conn.io.queue(&error_response(&ServeError::Draining));
+                conn.io.closing = true;
             }
         }
     }
 
-    // Flush phase.
-    if !conn.flushed() {
-        let mut wrote = false;
-        loop {
-            match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
-                Ok(0) => {
-                    close = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.write_pos += n;
-                    wrote = true;
-                    progress = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    close = true;
-                    break;
-                }
-            }
-            if conn.flushed() {
-                break;
-            }
-        }
-        if conn.flushed() {
-            conn.write_buf.clear();
-            conn.write_pos = 0;
-            conn.write_since = None;
-        } else if wrote || conn.write_since.is_none() {
-            conn.write_since = Some(now);
+    if conn.io.flush(now).is_err() {
+        return true;
+    }
+    if let Some(expiry) = conn.io.expire(conn.inflight, now) {
+        ServerStats::bump(&service.stats.connections_reaped);
+        if expiry == Expiry::Stalled {
+            return true;
         }
     }
-
-    // Deadline phase.
-    if !close {
-        // Slow loris: a partial frame too old to be honest traffic.
-        if let (Some(limit), Some(since)) = (cfg.read_timeout, conn.partial_since) {
-            if !conn.closing && now.duration_since(since) >= limit {
-                ServerStats::bump(&service.stats.connections_reaped);
-                queue_frame(
-                    conn,
-                    &error_response(&ServeError::Deadline { mid_frame: true }),
-                );
-                conn.closing = true;
-            }
-        }
-        // Write stall: the peer stopped draining its socket; no frame
-        // can be delivered, so just drop.
-        if let (Some(limit), Some(since)) = (cfg.write_timeout, conn.write_since) {
-            if now.duration_since(since) >= limit {
-                ServerStats::bump(&service.stats.connections_reaped);
-                close = true;
-            }
-        }
-        // Idle between frames: reap with an explicit deadline frame.
-        if let Some(limit) = cfg.idle_timeout {
-            if !conn.inflight
-                && !conn.closing
-                && conn.read_buf.is_empty()
-                && conn.flushed()
-                && now.duration_since(conn.last_activity) >= limit
-            {
-                ServerStats::bump(&service.stats.connections_reaped);
-                queue_frame(
-                    conn,
-                    &error_response(&ServeError::Deadline { mid_frame: false }),
-                );
-                conn.closing = true;
-            }
-        }
-    }
-
-    // Close determination: a closing connection goes once its final
-    // frames are flushed; an EOF'd one once nothing is in flight and
-    // the tail (necessarily an incomplete frame) is unusable.
-    if conn.closing && conn.flushed() {
-        close = true;
-    }
-    if conn.eof && !conn.inflight && !conn.closing && conn.flushed() {
-        close = true;
-    }
-    (progress, close)
+    conn.io.finished(conn.inflight)
 }
 
 #[cfg(test)]
@@ -1921,6 +1639,8 @@ mod tests {
     use super::*;
     use crate::protocol::{read_frame, unwrap_response, write_frame};
     use crate::test_fixtures::tiny_model;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn request<S: Read + Write>(stream: &mut S, req: &Request) -> Result<Json, ServeError> {
         write_frame(stream, &req.to_json_value())?;
